@@ -85,15 +85,16 @@ def closed_loop(n_clients, requests, call):
 
 
 def open_loop(n_clients, requests, arrival_s, call):
-    """Replay an arrival schedule; returns (latencies, n_rejected).
+    """Replay an arrival schedule; returns (samples, n_rejected).
 
     ``arrival_s[i]`` is request ``i``'s offset from the replay start.
     Each client thread owns a stride of the schedule, sleeps until each
     of its arrivals is due, then issues the request and records the
     due-time-to-response latency (so queueing delay counts, as it
-    would for a real caller).
+    would for a real caller).  ``samples`` holds one ``(i, latency_s)``
+    pair per answered request, sorted by ``i``; shed requests have none.
     """
-    latencies = []
+    samples = []
     lock = threading.Lock()
     rejected = [0]
     barrier = threading.Barrier(n_clients + 1)
@@ -115,9 +116,9 @@ def open_loop(n_clients, requests, arrival_s, call):
             except ServerOverloaded:
                 shed += 1
                 continue
-            mine.append(time.perf_counter() - due)
+            mine.append((i, time.perf_counter() - due))
         with lock:
-            latencies.extend(mine)
+            samples.extend(mine)
             rejected[0] += shed
     threads = [
         threading.Thread(target=client, args=(w,)) for w in range(n_clients)
@@ -128,7 +129,16 @@ def open_loop(n_clients, requests, arrival_s, call):
     barrier.wait(timeout=60)
     for t in threads:
         t.join()
-    return latencies, rejected[0]
+    return sorted(samples), rejected[0]
+
+
+def latency_summary(samples, n_steady):
+    """Percentiles of the steady phase (requests ``i < n_steady``) and
+    of every answered request, from :func:`open_loop` samples."""
+    return {
+        "steady": percentiles([lat for i, lat in samples if i < n_steady]),
+        "overall": percentiles([lat for _, lat in samples]),
+    }
 
 
 def arrival_schedule(rng, n_steady, steady_rps, n_burst, burst_rps):
@@ -266,11 +276,11 @@ def main(argv=None):
         for i in rng.integers(0, len(stays), size=n_steady + n_burst)
     ]
     with RecognitionService(csd=csd, config=config) as service:
-        latencies, n_rejected = open_loop(
+        samples, n_rejected = open_loop(
             n_clients, lat_requests, arrivals, service.recognize_one
         )
-    steady_lat = percentiles(latencies[:n_steady])
-    overall_lat = percentiles(latencies)
+    summary = latency_summary(samples, n_steady)
+    steady_lat = summary["steady"]
     print(
         f"open-loop: steady {steady_rps:,.0f} req/s then burst "
         f"{burst_rps:,.0f} req/s — p50 {steady_lat['p50_ms']:.2f}ms "
@@ -310,8 +320,7 @@ def main(argv=None):
             "burst_rps": burst_rps,
             "n_steady": n_steady,
             "n_burst": n_burst,
-            "steady": steady_lat,
-            "overall": overall_lat,
+            **summary,
             "rejected": n_rejected,
         },
     }

@@ -194,6 +194,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         args.quarantine if args.quarantine else run_dir / "quarantine.csv"
     )
     pois = read_pois(args.pois)
+    # Batch ingestion re-reads the whole input on every run (a resume
+    # included), so the appending quarantine starts fresh each time.
+    quarantine_path.unlink(missing_ok=True)
     with Quarantine(quarantine_path) as quarantine:
         trips = list(
             iter_trips(args.trips, on_bad_row=quarantine.sink("trips"))

@@ -31,16 +31,20 @@ Spec dtypes are canonical numpy dtype *names* (``"float64"``,
 from the AST, and canonical, so a platform-dependent spec like
 ``dtype="int"`` is rejected at decoration time.
 
-A second, independent switch — ``REPRO_PAR_SANITIZE=1``, read by
-:func:`par_sanitize_enabled` — arms the *parallel* runtime sanitizer in
-``repro.parallel``: worker-side attach asserts every shared-memory view
-is ``writeable=False``, exported blocks carry a checksum canary that
-workers re-verify after every chunk (a mismatch means a torn write into
-shared memory and raises :class:`CanaryViolation`), and the pool's
-submit watchdog turns a silent hang into a diagnosable
-``repro.parallel.PoolStall``.  Like ``REPRO_SANITIZE`` it is strictly
-opt-in: unset, the parallel path takes no checksum passes and no extra
-branches beyond one cached env read.
+``REPRO_SANITIZE`` is the repo's one sanitizer switch.  Besides the
+array contracts (fixed at import) it arms, read per call through
+:func:`sanitize_enabled`, two runtime sanitizers:
+
+* the *parallel* one in ``repro.parallel``: worker-side attach asserts
+  every shared-memory view is ``writeable=False``, and exported blocks
+  carry a checksum canary that workers re-verify after every chunk (a
+  mismatch means a torn write into shared memory and raises
+  :class:`CanaryViolation`);
+* the *artifact* one in ``repro.ioutil``: every atomic write checks its
+  postconditions and every strict JSON dump reads its bytes back.
+
+Unset, neither takes a checksum pass or an extra branch beyond one
+environment lookup.
 """
 
 from __future__ import annotations
@@ -65,7 +69,6 @@ __all__ = [
     "CanaryViolation",
     "array_contract",
     "sanitize_enabled",
-    "par_sanitize_enabled",
 ]
 
 F = TypeVar("F", bound=Callable[..., Any])
@@ -78,7 +81,7 @@ class ContractViolation(ValueError):
 class CanaryViolation(ContractViolation):
     """A shared-memory checksum canary no longer matches its export.
 
-    Raised only under ``REPRO_PAR_SANITIZE=1``, by
+    Raised only under ``REPRO_SANITIZE=1``, by
     ``repro.parallel.shm.verify_attached``.  It means some process
     wrote into a segment that every attached view holds read-only — a
     torn write the static pass (RPL013) could not see, e.g. through
@@ -88,19 +91,14 @@ class CanaryViolation(ContractViolation):
 
 
 def sanitize_enabled() -> bool:
-    """True when ``REPRO_SANITIZE`` requests runtime enforcement."""
-    return os.environ.get("REPRO_SANITIZE", "").strip() not in ("", "0")
-
-
-def par_sanitize_enabled() -> bool:
-    """True when ``REPRO_PAR_SANITIZE`` arms the parallel sanitizer.
+    """True when ``REPRO_SANITIZE`` requests runtime enforcement.
 
     Read from the environment on every call (no module-level snapshot):
     forked workers therefore agree with whatever the parent had at
     submit time, and tests can flip the switch per-case via
     ``monkeypatch.setenv``.
     """
-    return os.environ.get("REPRO_PAR_SANITIZE", "").strip() not in ("", "0")
+    return os.environ.get("REPRO_SANITIZE", "").strip() not in ("", "0")
 
 
 @dataclass(frozen=True)

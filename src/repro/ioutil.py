@@ -24,19 +24,22 @@ bypassing it:
   of the damage instead of a bare ``json.JSONDecodeError``, so an
   operator staring at a crashed resume knows which file to recover.
 
-Fault injection composes with the :mod:`repro.runner.fs` machinery:
-every atomic write announces the :data:`IO_FAULT_POINTS` to an
-installable hook (:func:`fault_hook`), so a test — or the exhaustive
-``tools/crash_sweep.py`` harness — can kill the process at *every*
-write boundary in turn and prove crash/resume holds at each one.
-Wiring the hook to ``FlakyFileSystem.fault`` reuses the existing
-``crash_points`` vocabulary unchanged.
+Fault injection has exactly one in-process mechanism: the hook
+installed with :func:`fault_hook`.  Every atomic write announces the
+:data:`IO_FAULT_POINTS` to it with the target path, and the runners'
+stage boundaries (``repro.runner.FAULT_POINTS`` and
+``STREAM_FAULT_POINTS``, announced through
+:meth:`repro.runner.fs.FileSystem.fault`) reach it with ``target=None``.
+A test — or the exhaustive ``tools/crash_sweep.py`` harness — kills the
+process at *every* announcement in turn and proves crash/resume holds at
+each one; a hook that raises ``OSError`` at ``tmp-open`` exercises the
+runners' retry path.
 
-Setting ``REPRO_IO_SANITIZE=1`` additionally verifies, after every
-atomic write, that the target landed, is non-empty, and left no tmp
-sibling behind — and for :func:`strict_json_dump` that the written
-bytes parse back.  Like ``REPRO_SANITIZE``, the unset mode costs one
-truthiness check per write.
+Setting ``REPRO_SANITIZE=1`` (the repo's one sanitizer switch, read by
+:func:`repro.contracts.sanitize_enabled`) additionally verifies, after
+every atomic write, that the target landed, is non-empty, and left no
+tmp sibling behind — and for :func:`strict_json_dump` that the written
+bytes parse back.  Unset, it costs one environment lookup per write.
 """
 
 from __future__ import annotations
@@ -47,6 +50,8 @@ import os
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional, Union
+
+from repro.contracts import sanitize_enabled
 
 PathLike = Union[str, Path]
 
@@ -66,21 +71,17 @@ TMP_SUFFIX = ".tmp"
 #:     the rename landed — the new artifact is durable and complete.
 IO_FAULT_POINTS = ("tmp-open", "tmp-written", "replaced")
 
-#: Hook signature: ``hook(point, target_path)``; raise to simulate a
-#: crash at that boundary (see :class:`repro.runner.fs.SimulatedCrash`).
-FaultHook = Callable[[str, Path], None]
+#: Hook signature: ``hook(point, target)``; ``target`` is the artifact
+#: path for an :data:`IO_FAULT_POINTS` announcement and ``None`` at a
+#: runner stage boundary.  Raise to simulate a crash at that point (see
+#: :class:`repro.runner.fs.SimulatedCrash`).
+FaultHook = Callable[[str, Optional[Path]], None]
 
 _fault_hook: Optional[FaultHook] = None
 
 
-def _sanitizing() -> bool:
-    """Is ``REPRO_IO_SANITIZE`` set?  Read per call so tests can toggle
-    it without re-importing; one dict lookup next to real file I/O."""
-    return os.environ.get("REPRO_IO_SANITIZE", "").strip() not in ("", "0")
-
-
 def set_fault_hook(hook: Optional[FaultHook]) -> Optional[FaultHook]:
-    """Install (or clear, with None) the write fault hook; returns the
+    """Install (or clear, with None) the fault hook; returns the
     previous hook so callers can restore it."""
     global _fault_hook
     previous = _fault_hook
@@ -99,7 +100,8 @@ def fault_hook(hook: Optional[FaultHook]) -> Iterator[None]:
         set_fault_hook(previous)
 
 
-def _announce(point: str, target: Path) -> None:
+def announce(point: str, target: Optional[Path]) -> None:
+    """Report fault point ``point`` to the installed hook, if any."""
     hook = _fault_hook
     if hook is not None:
         hook(point, target)
@@ -147,7 +149,7 @@ def _fsync_dir(path: Path) -> None:
 
 
 def _post_write_check(target: Path, tmp: Path) -> None:
-    """``REPRO_IO_SANITIZE=1``: the write's observable postconditions."""
+    """``REPRO_SANITIZE=1``: the write's observable postconditions."""
     if not target.exists():
         raise TornArtifactError(
             str(target), "atomic write completed but the target is missing"
@@ -185,20 +187,20 @@ def atomic_write(
     """
     target = Path(path)
     tmp = target.with_name(target.name + TMP_SUFFIX)
-    _announce("tmp-open", target)
+    announce("tmp-open", target)
     try:
         writer(tmp)
         if fsync:
             _fsync_file(tmp)
-        _announce("tmp-written", target)
+        announce("tmp-written", target)
         os.replace(tmp, target)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    _announce("replaced", target)
+    announce("replaced", target)
     if fsync:
         _fsync_dir(target.parent)
-    if _sanitizing():
+    if sanitize_enabled():
         _post_write_check(target, tmp)
     return target
 
@@ -266,7 +268,7 @@ def strict_json_dump(
     if trailing_newline:
         payload += "\n"
     atomic_write_text(path, payload, fsync=fsync)
-    if _sanitizing():
+    if sanitize_enabled():
         # Read-back: the bytes on disk must parse.  Catches encoding
         # bugs and torn writes the rename postcondition cannot see.
         strict_json_load(path)

@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.contracts import par_sanitize_enabled
+from repro.contracts import sanitize_enabled
 from repro.core.recognition import CSDRecognizer, vote_stays
 from repro.data.trajectory import SemanticProperty, StayPoint
 from repro.parallel.shm import (
@@ -209,7 +209,7 @@ def _vote_worker(
     _fault(fault, "worker-attach")
     result = vote_stays(source, stay_xy[start:stop], r3sigma_m, use_float32)
     _fault(fault, "worker-vote")
-    if par_sanitize_enabled():
+    if sanitize_enabled():
         # Canary pass: re-verify the export-time checksums after the
         # chunk so a torn write into shared memory fails here, in the
         # worker that would otherwise propagate corrupted votes.

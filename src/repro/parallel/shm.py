@@ -42,7 +42,7 @@ from typing import Dict, List, Mapping, Optional, Tuple, Type
 
 import numpy as np
 
-from repro.contracts import CanaryViolation, ContractViolation, par_sanitize_enabled
+from repro.contracts import CanaryViolation, ContractViolation, sanitize_enabled
 from repro.core.csd import CitySemanticDiagram
 from repro.geo.index import GridCSRState, GridIndex
 from repro.types import CSRQuery, Float64Array, IndexArray, MetersArray
@@ -68,7 +68,7 @@ class ArrayBlock:
     """Pickle-cheap descriptor of one exported array.
 
     ``checksum`` is the export-time CRC of the array bytes, present
-    only under ``REPRO_PAR_SANITIZE=1`` — the canary
+    only under ``REPRO_SANITIZE=1`` — the canary
     :func:`verify_attached` re-verifies after every worker chunk.
     (crc32 over a few hundred KB costs tens of microseconds; an
     xxhash-class stdlib hash with the same torn-write sensitivity.)
@@ -181,7 +181,7 @@ class SharedArrayPack:
         self.token = f"repro-{label}-{self.owner_pid}-{secrets.token_hex(4)}"
         self._segments: Dict[str, shared_memory.SharedMemory] = {}
         self._blocks: Dict[str, ArrayBlock] = {}
-        canary = par_sanitize_enabled()
+        canary = sanitize_enabled()
         try:
             for key, value in arrays.items():
                 # reprolint: allow-dtype -- exports preserve each
@@ -295,7 +295,7 @@ def attach_pack(handle: PackHandle) -> Mapping[str, np.ndarray]:
         _detach(handle.token)
     while len(_ATTACHED) >= _ATTACH_CACHE_MAX:
         _detach(next(iter(_ATTACHED)))
-    sanitize = par_sanitize_enabled()
+    sanitize = sanitize_enabled()
     arrays: Dict[str, np.ndarray] = {}
     segments: List[shared_memory.SharedMemory] = []
     try:
@@ -338,7 +338,7 @@ def attached_tokens() -> List[str]:
 def verify_attached(handle: PackHandle) -> None:
     """Re-verify the checksum canary over an attached pack.
 
-    Under ``REPRO_PAR_SANITIZE=1`` every exported block carries its
+    Under ``REPRO_SANITIZE=1`` every exported block carries its
     export-time CRC; workers call this after each chunk so a torn write
     into shared memory — from any process, through any aperture the
     static pass cannot see — fails the *next* chunk boundary instead of

@@ -4,8 +4,8 @@ The robustness layer over the Pervasive Miner stages: streaming
 validated ingestion with record quarantine (``repro.data.io.iter_*`` +
 :class:`Quarantine`), stage checkpointing with a strict-JSON manifest,
 crash/resume with bit-identical results, bounded-memory chunked
-recognition, and retry-with-backoff checkpoint I/O with an injectable
-flaky-filesystem fault hook.  See ``docs/RUNNER.md``.
+recognition, and retry-with-backoff checkpoint I/O whose stage fault
+points reach the :mod:`repro.ioutil` fault hook.  See ``docs/RUNNER.md``.
 
 >>> from repro.runner import PipelineRunner                # doctest: +SKIP
 >>> runner = PipelineRunner("runs/april", resume=True)     # doctest: +SKIP
@@ -14,7 +14,6 @@ flaky-filesystem fault hook.  See ``docs/RUNNER.md``.
 
 from repro.runner.fs import (
     FileSystem,
-    FlakyFileSystem,
     SimulatedCrash,
     retry_with_backoff,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "parse_stream_manifest",
     "stream_config_hash",
     "FileSystem",
-    "FlakyFileSystem",
     "MANIFEST_NAME",
     "Manifest",
     "PipelineRunner",

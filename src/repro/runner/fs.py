@@ -1,4 +1,4 @@
-"""Checkpoint filesystem abstraction, retries, and fault injection.
+"""Checkpoint filesystem boundary, retries, and stage fault points.
 
 The runner never touches the filesystem directly: every checkpoint
 mutation flows through a :class:`FileSystem` so that
@@ -11,24 +11,30 @@ mutation flows through a :class:`FileSystem` so that
 - **transient failures** (NFS hiccups, antivirus locks) are retried
   with exponential backoff in exactly one place
   (:func:`retry_with_backoff`);
-- **tests can inject faults**: :class:`FlakyFileSystem` wraps any
-  filesystem and (a) fails the first N mutating operations with
-  ``OSError`` to exercise the retry path, and (b) raises
-  :class:`SimulatedCrash` at named fault points to kill a run at a
-  precise pipeline location so crash/resume is actually tested
+- **stage boundaries are fault points**: the runners call
+  :meth:`FileSystem.fault` at named pipeline points, which announces
+  them to the :mod:`repro.ioutil` fault hook with ``target=None``.  The
+  one hook therefore sees every stage boundary and every write
+  boundary in execution order, so a test (or ``tools/crash_sweep.py``)
+  can kill a run at any of them and prove crash/resume holds
   (``docs/RUNNER.md``).
 """
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Set, TypeVar
+from time import sleep
+from typing import Callable, TypeVar
 
 from repro import ioutil
 from repro.obs import get_registry
 
 T = TypeVar("T")
+
+#: Retries after the first failed attempt of a checkpoint write.
+RETRIES = 3
+#: Sleep before the first retry; doubled before each later one.
+BACKOFF_S = 0.05
 
 
 class SimulatedCrash(RuntimeError):
@@ -77,108 +83,30 @@ class FileSystem:
             pass
 
     def fault(self, point: str) -> None:
-        """Fault-injection hook; a no-op on the real filesystem.
-
-        The runner calls this at named pipeline points (e.g.
-        ``after-constructor-checkpoint``); :class:`FlakyFileSystem`
-        overrides it to simulate crashes there.
-        """
+        """Announce the stage fault point ``point`` (e.g.
+        ``after-constructor-checkpoint``) to the :mod:`repro.ioutil`
+        fault hook; a no-op when no hook is installed."""
+        ioutil.announce(point, None)
 
 
-class FlakyFileSystem(FileSystem):
-    """Fault-injecting wrapper around another :class:`FileSystem`.
-
-    Parameters
-    ----------
-    inner:
-        The filesystem that performs the real I/O.
-    fail_writes:
-        Number of *mutating* operations (artifact or text writes) that
-        raise ``OSError`` before succeeding — exercises the runner's
-        retry-with-backoff path.  Each failed attempt consumes one.
-    crash_points:
-        Fault-point names at which :meth:`fault` raises
-        :class:`SimulatedCrash` — emulates the process being killed at
-        that exact pipeline location.  The crash fires every time the
-        point is hit, so a resumed run must pass a clean filesystem (or
-        a wrapper without that point), exactly like restarting a dead
-        job.
-    """
-
-    def __init__(
-        self,
-        inner: Optional[FileSystem] = None,
-        fail_writes: int = 0,
-        crash_points: Iterable[str] = (),
-    ) -> None:
-        self.inner = inner or FileSystem()
-        self.fail_writes = int(fail_writes)
-        self.crash_points: Set[str] = set(crash_points)
-        self.write_attempts = 0
-        self.faults_hit: list[str] = []
-
-    def _maybe_fail(self, path: Path) -> None:
-        self.write_attempts += 1
-        if self.fail_writes > 0:
-            self.fail_writes -= 1
-            raise OSError(
-                f"injected transient failure writing {path.name} "
-                f"({self.fail_writes} more to come)"
-            )
-
-    def write_artifact(
-        self, path: Path, writer: Callable[[Path], None]
-    ) -> None:
-        self._maybe_fail(path)
-        self.inner.write_artifact(path, writer)
-
-    def write_text(self, path: Path, text: str) -> None:
-        self._maybe_fail(path)
-        self.inner.write_text(path, text)
-
-    def read_text(self, path: Path) -> str:
-        return self.inner.read_text(path)
-
-    def exists(self, path: Path) -> bool:
-        return self.inner.exists(path)
-
-    def mkdir(self, path: Path) -> None:
-        self.inner.mkdir(path)
-
-    def remove(self, path: Path) -> None:
-        self.inner.remove(path)
-
-    def fault(self, point: str) -> None:
-        self.faults_hit.append(point)
-        if point in self.crash_points:
-            raise SimulatedCrash(f"injected crash at fault point {point!r}")
-
-
-def retry_with_backoff(
-    operation: Callable[[], T],
-    max_retries: int = 3,
-    backoff_s: float = 0.05,
-    sleep: Callable[[float], None] = time.sleep,
-) -> T:
+def retry_with_backoff(operation: Callable[[], T]) -> T:
     """Run ``operation``, retrying ``OSError`` with exponential backoff.
 
-    Attempts ``max_retries + 1`` times total, sleeping ``backoff_s *
+    Attempts ``RETRIES + 1`` times total, sleeping ``BACKOFF_S *
     2**attempt`` between attempts; the last failure propagates.  Only
     ``OSError`` (transient I/O) is retried — :class:`SimulatedCrash`
-    and everything else escape immediately.  ``sleep`` is injectable so
-    tests run instantly.  Each retry increments the
+    and everything else escape immediately; tests replace the module's
+    ``sleep`` to run instantly.  Each retry increments the
     ``pipeline.runner.checkpoint.retries`` counter on the
     :mod:`repro.obs` registry.
     """
-    if max_retries < 0:
-        raise ValueError("max_retries must be non-negative")
     attempt = 0
     while True:
         try:
             return operation()
         except OSError:
-            if attempt >= max_retries:
+            if attempt >= RETRIES:
                 raise
             get_registry().counter("pipeline.runner.checkpoint.retries").inc()
-            sleep(backoff_s * (2.0 ** attempt))
+            sleep(BACKOFF_S * (2.0 ** attempt))
             attempt += 1

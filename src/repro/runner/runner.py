@@ -23,15 +23,15 @@ after every stage.
 Recognition runs in configurable chunks through the batched
 ``recognize_points`` kernel, so peak memory is bounded by
 ``chunk_size`` rather than the corpus size.  Checkpoint I/O goes
-through an injectable :class:`~repro.runner.fs.FileSystem` with
-retry-with-backoff on transient ``OSError``; tests inject
-:class:`~repro.runner.fs.FlakyFileSystem` to exercise both the retry
-and the crash/resume paths (``docs/RUNNER.md``).
+through a :class:`~repro.runner.fs.FileSystem` with retry-with-backoff
+on transient ``OSError``; tests install a :mod:`repro.ioutil` fault
+hook, which sees both the write boundaries and the stage
+:data:`FAULT_POINTS`, to exercise the retry and the crash/resume paths
+(``docs/RUNNER.md``).
 """
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Union
 
@@ -67,8 +67,9 @@ MANIFEST_NAME = "manifest.json"
 CSD_ARTIFACT = "csd.json"
 RECOGNIZED_ARTIFACT = "recognized.csv"
 
-#: Fault points the runner announces to the filesystem's
-#: :meth:`~repro.runner.fs.FileSystem.fault` hook, in execution order.
+#: Stage fault points the runner announces through
+#: :meth:`~repro.runner.fs.FileSystem.fault` to the :mod:`repro.ioutil`
+#: fault hook, in execution order.
 FAULT_POINTS = (
     "before-constructor",
     "after-constructor-checkpoint",
@@ -99,12 +100,9 @@ class PipelineRunner:
     chunk_size:
         Stay points per recognition batch; bounds peak memory on large
         corpora.
-    fs:
-        Checkpoint I/O backend; tests inject
-        :class:`~repro.runner.fs.FlakyFileSystem`.
-    max_retries, backoff_s, sleep:
-        Transient-``OSError`` retry policy for checkpoint writes (see
-        :func:`~repro.runner.fs.retry_with_backoff`).
+
+    Checkpoint writes retry transient ``OSError`` with backoff (see
+    :func:`~repro.runner.fs.retry_with_backoff`).
     """
 
     def __init__(
@@ -115,10 +113,6 @@ class PipelineRunner:
         *,
         resume: bool = False,
         chunk_size: int = 8192,
-        fs: Optional[FileSystem] = None,
-        max_retries: int = 3,
-        backoff_s: float = 0.05,
-        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         if chunk_size < 1:
             raise ValueError("chunk_size must be at least 1")
@@ -127,10 +121,7 @@ class PipelineRunner:
         self.mining_config = mining_config or MiningConfig()
         self.resume = bool(resume)
         self.chunk_size = int(chunk_size)
-        self.fs = fs or FileSystem()
-        self.max_retries = int(max_retries)
-        self.backoff_s = float(backoff_s)
-        self._sleep = sleep
+        self.fs = FileSystem()
         self._miner = PervasiveMiner(self.csd_config, self.mining_config)
 
     # -- checkpoint plumbing -------------------------------------------
@@ -140,22 +131,14 @@ class PipelineRunner:
         path = self.run_dir / name
         reg = get_registry()
         with reg.timer("pipeline.runner.checkpoint"):
-            retry_with_backoff(
-                lambda: self.fs.write_artifact(path, writer),
-                max_retries=self.max_retries,
-                backoff_s=self.backoff_s,
-                sleep=self._sleep,
-            )
+            retry_with_backoff(lambda: self.fs.write_artifact(path, writer))
         return file_sha256(path)
 
     def _save_manifest(self, manifest: Manifest) -> None:
         retry_with_backoff(
             lambda: self.fs.write_text(
                 self.run_dir / MANIFEST_NAME, manifest.to_json() + "\n"
-            ),
-            max_retries=self.max_retries,
-            backoff_s=self.backoff_s,
-            sleep=self._sleep,
+            )
         )
 
     def _load_manifest(

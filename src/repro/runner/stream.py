@@ -42,7 +42,6 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
-import time
 from dataclasses import asdict, dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -79,8 +78,9 @@ EPOCH_DIR = "epochs"
 #: rotate underneath.
 LATEST_CSD_NAME = "csd-latest.json"
 
-#: Fault points announced to the filesystem's ``fault`` hook, in
-#: per-epoch execution order (see :mod:`repro.runner.fs`).
+#: Stage fault points announced through the filesystem's ``fault``
+#: method to the :mod:`repro.ioutil` fault hook, in per-epoch execution
+#: order (see :mod:`repro.runner.fs`).
 STREAM_FAULT_POINTS = (
     "before-epoch",
     "after-epoch-recognition",
@@ -225,6 +225,9 @@ class StreamRunner:
     on_epoch:
         Callback after each committed epoch (the CLI uses this to
         notify a running ``repro serve`` daemon).
+    fs:
+        Checkpoint I/O backend (default :class:`FileSystem`); a
+        subclass that overrides ``fault`` observes the stage points.
     """
 
     def __init__(
@@ -242,9 +245,6 @@ class StreamRunner:
         staleness_threshold: float = 0.05,
         resume: bool = False,
         fs: Optional[FileSystem] = None,
-        max_retries: int = 3,
-        backoff_s: float = 0.05,
-        sleep: Callable[[float], None] = time.sleep,
         on_bad_row: Optional[BadRowSink] = None,
         on_epoch: Optional[Callable[[EpochResult], None]] = None,
     ) -> None:
@@ -266,9 +266,6 @@ class StreamRunner:
         self.staleness_threshold = float(staleness_threshold)
         self.resume = bool(resume)
         self.fs = fs or FileSystem()
-        self.max_retries = int(max_retries)
-        self.backoff_s = float(backoff_s)
-        self._sleep = sleep
         self.on_bad_row = on_bad_row
         self.on_epoch = on_epoch
         self.engine: Optional[StreamEngine] = None
@@ -278,22 +275,14 @@ class StreamRunner:
 
     def _checkpoint(self, name: str, writer: Callable[[Path], None]) -> str:
         path = self.run_dir / name
-        retry_with_backoff(
-            lambda: self.fs.write_artifact(path, writer),
-            max_retries=self.max_retries,
-            backoff_s=self.backoff_s,
-            sleep=self._sleep,
-        )
+        retry_with_backoff(lambda: self.fs.write_artifact(path, writer))
         return file_sha256(path)
 
     def _save_manifest(self, manifest: StreamManifest) -> None:
         retry_with_backoff(
             lambda: self.fs.write_text(
                 self.run_dir / STREAM_MANIFEST_NAME, manifest.to_json() + "\n"
-            ),
-            max_retries=self.max_retries,
-            backoff_s=self.backoff_s,
-            sleep=self._sleep,
+            )
         )
 
     def _verified_artifact(self, record_name: str, sha: str) -> Path:

@@ -9,7 +9,7 @@ gate**: after the last test it fails the suite if this process still
 owns segments (``live_segment_names()``) or ``/dev/shm`` still holds
 ``repro-*-<pid>-*`` files created by this run.  Set
 ``REPRO_LEAK_REPORT=<path>`` to also write the findings as JSON (CI
-uploads it as the ``par-sanitize`` job's artifact).
+uploads it as the ``sanitize`` job's artifact).
 """
 
 from __future__ import annotations

@@ -165,6 +165,13 @@ class TestRun:
         assert rc == 0
         resumed = capsys.readouterr().out
         assert resumed[resumed.index("route"):] == first_patterns
+        # The resume re-reads the whole input; the bad row is still
+        # quarantined exactly once, not appended a second time.
+        rows = (run_dir / "quarantine.csv").read_text(
+            encoding="utf-8"
+        ).splitlines()
+        assert len(rows) == 2  # header + the one bad row
+        assert sum("invalid float" in row for row in rows) == 1
 
     def test_parser_defaults(self):
         args = build_parser().parse_args(

@@ -1,15 +1,15 @@
 """The crash-sweep sanitizer (tools/crash_sweep.py).
 
 The harness itself is exercised end-to-end in fast mode (subsampled
-write ordinals, both pipeline paths), plus a per-fault-point
+ordinals, both pipeline paths), plus a per-fault-point
 parametrization that kills the batch runner at the first announcement
 of each :data:`repro.ioutil.IO_FAULT_POINTS` kind and re-checks the
 durability invariants directly — so a regression names the exact
 write boundary that broke.
 
-The exhaustive sweep (every ordinal, ~120 crash/resume cycles) runs in
-CI via ``python tools/crash_sweep.py``; these tests keep the suite
-fast while pinning the harness's own behaviour.
+The exhaustive sweep (every write and stage ordinal) runs via
+``python tools/crash_sweep.py``; these tests keep the suite fast while
+pinning the harness's own behaviour.
 """
 
 import sys
@@ -22,6 +22,7 @@ sys.path.insert(0, str(REPO_ROOT))
 
 from repro import ioutil  # noqa: E402
 from repro.ioutil import IO_FAULT_POINTS  # noqa: E402
+from repro.runner import FAULT_POINTS, STREAM_FAULT_POINTS  # noqa: E402
 from repro.runner.fs import SimulatedCrash  # noqa: E402
 
 from tools.crash_sweep import (  # noqa: E402
@@ -57,7 +58,12 @@ def batch_reference(sweep_workload, tmp_path_factory):
 class TestHarnessPieces:
     def test_recording_hook_sees_all_three_points(self, batch_reference):
         events, _ = batch_reference
-        assert {point for point, _ in events} == set(IO_FAULT_POINTS)
+        points = {point for point, _ in events}
+        assert set(IO_FAULT_POINTS) <= points
+        # Every other ordinal is a runner stage boundary.
+        assert points - set(IO_FAULT_POINTS) <= (
+            set(FAULT_POINTS) | set(STREAM_FAULT_POINTS)
+        )
         # Announcements come in whole tmp-open/tmp-written/replaced
         # triples (nested writes interleave, but counts must match).
         from collections import Counter

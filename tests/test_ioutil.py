@@ -5,18 +5,19 @@ Four contract families (docs/DATA_FORMATS.md "Durability"):
 - **atomicity** — a write that fails at any point leaves the previous
   artifact untouched and no ``*.tmp`` debris;
 - **fault hooks** — every atomic write announces ``IO_FAULT_POINTS``
-  in order, and the hook composes with ``FlakyFileSystem.fault``'s
-  existing crash-point vocabulary;
+  in order, and the runners' stage points reach the same hook through
+  ``FileSystem.fault`` with ``target=None``;
 - **strict JSON** — ``allow_nan=False`` serialisation, canonical key
   order, and :class:`TornArtifactError` diagnostics that name the
   artifact and the byte offset of the damage (swept here by truncating
   real manifest/diagram artifacts at many offsets);
-- **REPRO_IO_SANITIZE=1** — post-write checks fire only when enabled.
+- **REPRO_SANITIZE=1** — post-write checks fire only when enabled.
 """
 
 import json
 import math
 
+import numpy as np
 import pytest
 
 from repro import ioutil
@@ -34,7 +35,9 @@ from repro.ioutil import (
     strict_json_load,
     strict_json_loads,
 )
-from repro.runner.fs import FlakyFileSystem, SimulatedCrash
+from repro.parallel.shm import SharedArrayPack
+from repro.runner.fs import FileSystem, SimulatedCrash
+from tests.faults import CrashAt
 
 
 @pytest.fixture(autouse=True)
@@ -156,16 +159,22 @@ class TestFaultHook:
         # though the body raised; this write must not crash.
         atomic_write_text(tmp_path / "a.txt", "x")
 
-    def test_composes_with_flaky_filesystem_crash_points(self, tmp_path):
-        """The documented wiring: forward announcements to
-        ``FlakyFileSystem.fault`` so its ``crash_points`` vocabulary
-        drives io-level crashes unchanged."""
-        flaky = FlakyFileSystem(crash_points=("tmp-written",))
+    def test_composes_with_filesystem_stage_points(self, tmp_path):
+        """The runners' stage points reach the same hook as the write
+        points, with ``target=None``, so one crash vocabulary covers
+        both."""
+        fs = FileSystem()
         target = tmp_path / "a.txt"
-        atomic_write_text(target, "old")
+        events = []
+        with fault_hook(lambda point, path: events.append((point, path))):
+            fs.fault("after-constructor-checkpoint")
+            fs.write_text(target, "old")
+        assert events == [("after-constructor-checkpoint", None)] + [
+            (point, target) for point in IO_FAULT_POINTS
+        ]
         with pytest.raises(SimulatedCrash):
-            with fault_hook(lambda point, path: flaky.fault(point)):
-                atomic_write_text(target, "new")
+            with fault_hook(CrashAt("tmp-written")):
+                fs.write_text(target, "new")
         assert target.read_text(encoding="utf-8") == "old"
         assert list(tmp_path.glob("*.tmp")) == []
 
@@ -282,16 +291,36 @@ class TestTornArtifactSweep:
 
 
 class TestSanitizeMode:
-    def test_off_by_default(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_IO_SANITIZE", raising=False)
-        assert not ioutil._sanitizing()
-        monkeypatch.setenv("REPRO_IO_SANITIZE", "0")
-        assert not ioutil._sanitizing()
+    def test_one_switch_arms_every_sanitizer(self, tmp_path, monkeypatch):
+        """``REPRO_SANITIZE=1`` alone arms the shared-memory export
+        checksums, the atomic-write postconditions and the JSON
+        read-back; ``0`` disarms all three."""
+        reads = []
+        real_load = ioutil.strict_json_load
+        monkeypatch.setattr(
+            ioutil,
+            "strict_json_load",
+            lambda path: reads.append(path) or real_load(path),
+        )
+        arrays = {"a": np.arange(8, dtype=np.float64)}
+        for flag, armed in (("1", True), ("0", False)):
+            monkeypatch.setenv("REPRO_SANITIZE", flag)
+            with SharedArrayPack(arrays, label="t") as pack:
+                checksums = [b.checksum for _, b in pack.handle().blocks]
+            assert all(c is not None for c in checksums) is armed
+            reads.clear()
+            strict_json_dump(tmp_path / "doc.json", {"k": 1})
+            assert reads == ([tmp_path / "doc.json"] if armed else [])
+            if armed:
+                with pytest.raises(TornArtifactError, match="zero-byte"):
+                    atomic_write_text(tmp_path / "empty.json", "")
+            else:
+                atomic_write_text(tmp_path / "empty.json", "")
 
     def test_enabled_write_passes_postconditions(
         self, tmp_path, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_IO_SANITIZE", "1")
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
         target = tmp_path / "doc.json"
         strict_json_dump(target, {"k": [1, 2]})
         assert strict_json_load(target) == {"k": [1, 2]}
@@ -299,7 +328,7 @@ class TestSanitizeMode:
     def test_detects_vanished_target(self, tmp_path, monkeypatch):
         """If the installed artifact is gone by the postcondition check
         the sanitizer must scream, not shrug."""
-        monkeypatch.setenv("REPRO_IO_SANITIZE", "1")
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
         target = tmp_path / "doc.json"
 
         def crash(point, path):
@@ -311,12 +340,12 @@ class TestSanitizeMode:
                 atomic_write_text(target, "payload")
 
     def test_detects_zero_byte_artifact(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_IO_SANITIZE", "1")
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
         with pytest.raises(TornArtifactError, match="zero-byte"):
             atomic_write_text(tmp_path / "doc.json", "")
 
     def test_zero_byte_allowed_when_disabled(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_IO_SANITIZE", raising=False)
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         target = tmp_path / "doc.json"
         atomic_write_text(target, "")
         assert target.read_bytes() == b""

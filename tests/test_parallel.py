@@ -252,7 +252,7 @@ class TestAttachCacheStaleness:
 
 class TestParSanitize:
     def test_no_checksums_when_unset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PAR_SANITIZE", raising=False)
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         with SharedArrayPack(
             {"a": np.arange(8, dtype=np.float64)}, label="t"
         ) as pack:
@@ -262,7 +262,7 @@ class TestParSanitize:
         detach_all()
 
     def test_canary_passes_on_intact_segments(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PAR_SANITIZE", "1")
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
         with SharedArrayPack(
             {"a": np.arange(8, dtype=np.float64)}, label="t"
         ) as pack:
@@ -273,7 +273,7 @@ class TestParSanitize:
         detach_all()
 
     def test_canary_detects_torn_write(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PAR_SANITIZE", "1")
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
         from multiprocessing import shared_memory
 
         with SharedArrayPack(
@@ -302,7 +302,7 @@ class TestParSanitize:
         recognizer = CSDRecognizer(small_csd, small_csd_config.r3sigma_m)
         serial = recognizer.recognize_points(flat_stays)
         bounds = chunk_bounds(len(flat_stays), 2, min_per_job=1)
-        monkeypatch.setenv("REPRO_PAR_SANITIZE", "1")
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
         # Fresh pool so the forked workers inherit the armed sanitizer.
         _dispose_pool(2)
         assert recognize_parallel(recognizer, flat_stays, bounds) == serial

@@ -108,7 +108,8 @@ class TestRPL017RawOpen:
         assert "RPL017" not in rules_of(
             check_durability_source(code, path=IOUTIL)
         )
-        assert "RPL017" not in rules_of(
+        # runner/fs.py delegates to ioutil and gets no exemption.
+        assert "RPL017" in rules_of(
             check_durability_source(code, path=RUNNER_FS)
         )
 
@@ -243,7 +244,10 @@ class TestRPL020RenameConfinement:
     def test_silent_in_sanctioned_writers(self):
         code = "import os\ndef f(a, b):\n    os.replace(a, b)\n"
         assert check_durability_source(code, path=IOUTIL) == []
-        assert check_durability_source(code, path=RUNNER_FS) == []
+        # runner/fs.py delegates to ioutil and gets no exemption.
+        assert "RPL020" in rules_of(
+            check_durability_source(code, path=RUNNER_FS)
+        )
 
     def test_silent_on_os_remove(self):
         code = "import os\ndef f(a):\n    os.remove(a)\n"

@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro import obs
+from repro import ioutil, obs
 from repro.core.config import CSDConfig, MiningConfig
 from repro.core.miner import PervasiveMiner
 from repro.data.io import QuarantinedRow, iter_trips, write_trips
@@ -23,7 +23,7 @@ from repro.obs import MetricsRegistry
 from repro.runner import (
     CSD_ARTIFACT,
     FAULT_POINTS,
-    FlakyFileSystem,
+    FileSystem,
     MANIFEST_NAME,
     PipelineRunner,
     Quarantine,
@@ -34,6 +34,8 @@ from repro.runner import (
     parse_manifest,
     retry_with_backoff,
 )
+from repro.runner import fs as fs_mod
+from tests.faults import CrashAt, FailWrites
 
 CHUNK = 500
 
@@ -112,11 +114,11 @@ class TestCrashResume:
     ):
         cc, mc, reference = workload
         run_dir = tmp_path / "crashed"
-        flaky = FlakyFileSystem(crash_points={crash_point})
         with pytest.raises(SimulatedCrash):
-            PipelineRunner(
-                run_dir, cc, mc, chunk_size=CHUNK, fs=flaky
-            ).run(small_pois, small_trajectories)
+            with ioutil.fault_hook(CrashAt(crash_point)):
+                PipelineRunner(run_dir, cc, mc, chunk_size=CHUNK).run(
+                    small_pois, small_trajectories
+                )
         result = PipelineRunner(
             run_dir, cc, mc, chunk_size=CHUNK, resume=True
         ).run(small_pois, small_trajectories)
@@ -132,13 +134,11 @@ class TestCrashResume:
     ):
         cc, mc, _ = workload
         run_dir = tmp_path / "skip"
-        flaky = FlakyFileSystem(
-            crash_points={"after-recognition-checkpoint"}
-        )
         with pytest.raises(SimulatedCrash):
-            PipelineRunner(
-                run_dir, cc, mc, chunk_size=CHUNK, fs=flaky
-            ).run(small_pois, small_trajectories)
+            with ioutil.fault_hook(CrashAt("after-recognition-checkpoint")):
+                PipelineRunner(run_dir, cc, mc, chunk_size=CHUNK).run(
+                    small_pois, small_trajectories
+                )
 
         reg = MetricsRegistry(enabled=True)
         old = obs.set_registry(reg)
@@ -266,48 +266,45 @@ class TestManifestGuards:
 
 class TestRetry:
     def test_transient_write_failures_are_retried(
-        self, tmp_path, small_pois, small_trajectories, workload
+        self, tmp_path, small_pois, small_trajectories, workload,
+        monkeypatch,
     ):
         cc, mc, reference = workload
         naps = []
-        flaky = FlakyFileSystem(fail_writes=3)
-        result = PipelineRunner(
-            tmp_path / "flaky",
-            cc,
-            mc,
-            chunk_size=CHUNK,
-            fs=flaky,
-            max_retries=3,
-            backoff_s=0.01,
-            sleep=naps.append,
-        ).run(small_pois, small_trajectories)
+        monkeypatch.setattr(fs_mod, "sleep", naps.append)
+        with ioutil.fault_hook(FailWrites(3)):
+            result = PipelineRunner(
+                tmp_path / "flaky", cc, mc, chunk_size=CHUNK
+            ).run(small_pois, small_trajectories)
         assert pattern_key(result.patterns) == pattern_key(
             reference.patterns
         )
-        # Exponential backoff: 0.01, 0.02, 0.04 for the three failures.
-        assert naps == [0.01, 0.02, 0.04]
+        # Exponential backoff: 0.05, 0.1, 0.2 for the three failures.
+        assert naps == [fs_mod.BACKOFF_S * 2**k for k in range(3)]
 
-    def test_persistent_failure_raises_after_budget(self, tmp_path):
-        flaky = FlakyFileSystem(fail_writes=100)
+    def test_persistent_failure_raises_after_budget(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(fs_mod, "sleep", lambda s: None)
+        failing = FailWrites(100)
         with pytest.raises(OSError, match="injected"):
-            retry_with_backoff(
-                lambda: flaky.write_text(tmp_path / "x", "payload"),
-                max_retries=2,
-                backoff_s=0.0,
-                sleep=lambda s: None,
-            )
-        assert flaky.write_attempts == 3  # 1 try + 2 retries
+            with ioutil.fault_hook(failing):
+                retry_with_backoff(
+                    lambda: FileSystem().write_text(tmp_path / "x", "payload")
+                )
+        assert failing.attempts == fs_mod.RETRIES + 1  # 1 try + retries
 
-    def test_simulated_crash_is_not_retried(self, tmp_path):
-        flaky = FlakyFileSystem(crash_points={"p"})
+    def test_simulated_crash_is_not_retried(self, monkeypatch):
+        monkeypatch.setattr(fs_mod, "sleep", lambda s: None)
         attempts = []
 
         def op():
             attempts.append(1)
-            flaky.fault("p")
+            FileSystem().fault("p")
 
         with pytest.raises(SimulatedCrash):
-            retry_with_backoff(op, max_retries=5, sleep=lambda s: None)
+            with ioutil.fault_hook(CrashAt("p")):
+                retry_with_backoff(op)
         assert len(attempts) == 1
 
     def test_fault_points_cover_every_stage(self):

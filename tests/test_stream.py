@@ -18,6 +18,7 @@ import random
 
 import pytest
 
+from repro import ioutil
 from repro.core.config import CSDConfig, MiningConfig
 from repro.core.constructor import build_csd
 from repro.core.incremental import IncrementalCSD
@@ -36,6 +37,7 @@ from repro.runner.fs import FileSystem, SimulatedCrash
 from repro.runner.stream import LATEST_CSD_NAME, STREAM_MANIFEST_NAME
 from repro.serve import RecognitionService
 from repro.stream import StreamEngine
+from tests.faults import CrashAt
 
 
 def window_key(miner):
@@ -249,26 +251,6 @@ class TestStreamEngine:
             engine.restore_epoch(0, [])
 
 
-class CrashOnNthHit(FileSystem):
-    """Crash the Nth time a named fault point is reached.
-
-    :class:`~repro.runner.fs.FlakyFileSystem` fires on *every* hit of a
-    crash point, which kills a stream on its first epoch; streaming
-    crash tests need to die mid-run instead.
-    """
-
-    def __init__(self, point, nth):
-        self.point = point
-        self.nth = nth
-        self.hits = 0
-
-    def fault(self, point):
-        if point == self.point:
-            self.hits += 1
-            if self.hits == self.nth:
-                raise SimulatedCrash(f"injected crash #{self.nth} at {point!r}")
-
-
 @pytest.fixture(scope="module")
 def stream_run_files(tmp_path_factory, stream_inputs, small_taxi):
     root = tmp_path_factory.mktemp("stream-inputs")
@@ -290,7 +272,7 @@ RUNNER_KW = dict(
 )
 
 
-def make_runner(run_dir, files, resume=False, fs=None, **overrides):
+def make_runner(run_dir, files, resume=False, **overrides):
     trips_path, pois_path, csd_path = files
     kw = dict(RUNNER_KW)
     kw.update(overrides)
@@ -302,7 +284,6 @@ def make_runner(run_dir, files, resume=False, fs=None, **overrides):
         csd_config=CSDConfig(alpha=0.7),
         mining_config=MiningConfig(support=8, rho=0.001),
         resume=resume,
-        fs=fs,
         **kw,
     )
 
@@ -364,11 +345,8 @@ class TestStreamRunner:
         must land on the exact reference patterns and diagram."""
         run_dir = tmp_path / "run"
         with pytest.raises(SimulatedCrash):
-            make_runner(
-                run_dir,
-                stream_run_files,
-                fs=CrashOnNthHit(crash_point, nth=3),
-            ).run()
+            with ioutil.fault_hook(CrashAt(crash_point, nth=3)):
+                make_runner(run_dir, stream_run_files).run()
         report = make_runner(run_dir, stream_run_files, resume=True).run()
         assert report.resumed
         manifest, patterns = final_state(run_dir, report)
@@ -381,6 +359,22 @@ class TestStreamRunner:
         assert [r.sha256 for r in manifest.epochs] == [
             r.sha256 for r in ref_manifest.epochs
         ]
+
+    def test_fs_subclass_observes_stage_points(
+        self, tmp_path, stream_run_files
+    ):
+        """``fs=`` stays an observation seam: a FileSystem subclass
+        that overrides ``fault`` sees every stage point, in order."""
+        seen = []
+
+        class Probe(FileSystem):
+            def fault(self, point):
+                seen.append(point)
+
+        make_runner(tmp_path / "run", stream_run_files, fs=Probe()).run(
+            max_epochs=2
+        )
+        assert seen == list(STREAM_FAULT_POINTS) * 2
 
     def test_resume_rejects_config_change(self, tmp_path, stream_run_files):
         run_dir = tmp_path / "run"

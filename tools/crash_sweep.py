@@ -1,11 +1,14 @@
-"""Crash-sweep sanitizer: kill the pipeline at *every* write boundary.
+"""Crash-sweep sanitizer: kill the pipeline at *every* fault point.
 
-``repro.ioutil.atomic_write`` announces three fault points per artifact
-write (``tmp-open``, ``tmp-written``, ``replaced`` — see
-:data:`repro.ioutil.IO_FAULT_POINTS`).  This harness enumerates every
-announcement a deterministic reference run makes — the run's **write
-ordinals** — then, for each ordinal, repeats the run in a fresh
-directory with a hook that raises
+The :mod:`repro.ioutil` fault hook sees two kinds of announcement:
+``repro.ioutil.atomic_write`` announces three per artifact write
+(``tmp-open``, ``tmp-written``, ``replaced`` — see
+:data:`repro.ioutil.IO_FAULT_POINTS`), and the runners announce their
+stage boundaries (``repro.runner.FAULT_POINTS``,
+``repro.runner.STREAM_FAULT_POINTS``) through ``FileSystem.fault``.
+This harness enumerates every announcement a deterministic reference
+run makes — the run's **ordinals** — then, for each ordinal, repeats
+the run in a fresh directory with a hook that raises
 :class:`~repro.runner.fs.SimulatedCrash` at exactly that announcement,
 and asserts the durability contract (``docs/DATA_FORMATS.md``):
 
@@ -19,14 +22,14 @@ and asserts the durability contract (``docs/DATA_FORMATS.md``):
 
 Both checkpointed drivers are swept: the batch
 :class:`~repro.runner.PipelineRunner` and the epoch-at-a-time
-:class:`~repro.runner.StreamRunner`.  This is finer-grained than the
-stage-level ``FAULT_POINTS`` crash tests (``tests/test_runner.py``,
-``tests/test_stream.py``): those kill the run *between* artifacts,
-this harness kills it *inside* every artifact write.
+:class:`~repro.runner.StreamRunner`.  The stage-level crash tests
+(``tests/test_runner.py``, ``tests/test_stream.py``) kill a run at one
+named boundary each; this harness kills it at every stage boundary and
+inside every artifact write.
 
 Exit code 0 means every swept ordinal upheld all three invariants.
 ``--report`` writes a strict-JSON sweep report (CI uploads it as the
-``io-sanitize`` job's artifact); ``--fast`` subsamples the ordinals
+``sanitize`` job's artifact); ``--fast`` subsamples the ordinals
 (always keeping the first and last) for a quick CI smoke.
 
 Usage::
@@ -68,7 +71,7 @@ STREAM_KW = dict(
 
 
 class SweepFailure(AssertionError):
-    """A durability invariant did not hold at a swept write ordinal."""
+    """A durability invariant did not hold at a swept ordinal."""
 
 
 @dataclass
@@ -83,7 +86,7 @@ class SweepResult:
     def to_dict(self) -> Dict[str, object]:
         return {
             "path": self.path,
-            "write_ordinals": self.ordinals,
+            "ordinals": self.ordinals,
             "ordinals_swept": self.swept,
             "checks": self.checks,
         }
@@ -92,14 +95,20 @@ class SweepResult:
 # -- fault hooks --------------------------------------------------------
 
 
+def _site(point: str, name: str) -> str:
+    """``tmp-open of csd.json``, or just the point at a stage boundary."""
+    return f"{point} of {name}" if name else point
+
+
 class RecordingHook:
-    """Record every atomic-write announcement of a reference run."""
+    """Record every announcement of a reference run as ``(point,
+    artifact name)``; the name is ``""`` at a stage boundary."""
 
     def __init__(self) -> None:
         self.events: List[Tuple[str, str]] = []
 
-    def __call__(self, point: str, target: Path) -> None:
-        self.events.append((point, target.name))
+    def __call__(self, point: str, target: Optional[Path]) -> None:
+        self.events.append((point, "" if target is None else target.name))
 
 
 class CrashAtOrdinal:
@@ -109,13 +118,13 @@ class CrashAtOrdinal:
         self.ordinal = ordinal
         self.count = 0
 
-    def __call__(self, point: str, target: Path) -> None:
+    def __call__(self, point: str, target: Optional[Path]) -> None:
         k = self.count
         self.count += 1
         if k == self.ordinal:
             raise SimulatedCrash(
-                f"injected crash at write ordinal {k} "
-                f"({point} of {target.name})"
+                f"injected crash at ordinal {k} "
+                f"({_site(point, target.name if target else '')})"
             )
 
 
@@ -157,7 +166,7 @@ def artifact_shas(run_dir: Path) -> Dict[str, str]:
 
 def _subsample(n: int, fast: bool) -> List[int]:
     """Ordinals to sweep: all of them, or a fast subsample that always
-    keeps the first and last write."""
+    keeps the first and last announcement."""
     if not fast or n <= 8:
         return list(range(n))
     stride = max(1, n // 6)
@@ -246,7 +255,7 @@ def sweep_batch(
         try:
             with ioutil.fault_hook(CrashAtOrdinal(k)):
                 _batch_run(work, run_dir)
-            raise SweepFailure(f"crash at write ordinal {k} did not fire")
+            raise SweepFailure(f"crash at ordinal {k} did not fire")
         except SimulatedCrash:
             pass
         result.checks += check_crash_site(run_dir)
@@ -264,7 +273,7 @@ def sweep_batch(
         result.swept.append(k)
         log(
             f"batch ordinal {k}/{result.ordinals - 1}: "
-            f"{recorder.events[k][0]} of {recorder.events[k][1]} ok"
+            f"{_site(*recorder.events[k])} ok"
         )
     return result
 
@@ -338,7 +347,7 @@ def sweep_stream(
         try:
             with ioutil.fault_hook(CrashAtOrdinal(k)):
                 _stream_run(work, run_dir)
-            raise SweepFailure(f"crash at write ordinal {k} did not fire")
+            raise SweepFailure(f"crash at ordinal {k} did not fire")
         except SimulatedCrash:
             pass
         result.checks += check_crash_site(run_dir)
@@ -352,7 +361,7 @@ def sweep_stream(
         result.swept.append(k)
         log(
             f"stream ordinal {k}/{result.ordinals - 1}: "
-            f"{recorder.events[k][0]} of {recorder.events[k][1]} ok"
+            f"{_site(*recorder.events[k])} ok"
         )
     return result
 
@@ -382,7 +391,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--fast",
         action="store_true",
-        help="subsample write ordinals (CI smoke; first and last always "
+        help="subsample ordinals (CI smoke; first and last always "
         "swept)",
     )
     parser.add_argument(
@@ -411,7 +420,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"FAIL: {exc}")
         return 1
     document = {
-        "schema": 1,
+        "schema": 2,
         "fast": bool(args.fast),
         "ok": True,
         "sweeps": [r.to_dict() for r in results],
@@ -422,7 +431,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     for r in results:
         print(
-            f"OK: {r.path} path — {len(r.swept)}/{r.ordinals} write "
+            f"OK: {r.path} path — {len(r.swept)}/{r.ordinals} "
             f"ordinals swept, {r.checks} artifact checks"
         )
     return 0
