@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Kernel speedup bench: seed per-point loops vs. the batched CSR paths.
 
-Times the two hottest pipeline stages on the standard bench workload
+Times the three hottest pipeline stages on the standard bench workload
 (12k POIs, 250 passengers x 7 days — DESIGN.md section 3):
 
 * popularity (Eq. 3): per-POI ``query_radius`` loop vs. the vectorised
@@ -9,10 +9,14 @@ Times the two hottest pipeline stages on the standard bench workload
 * recognition (Algorithm 3): per-stay-point dict voting vs.
   ``CSDRecognizer.recognize_points`` (one CSR batch query +
   ``np.bincount`` over ``(stay, unit)`` pairs), plus the ``n_jobs=2``
-  chunked multiprocessing mode.
+  chunked multiprocessing mode;
+* OPTICS (Algorithm 4 line 6): the per-point loop with two scalar
+  range queries and a seed heap vs. the batched ``optics`` (blocked
+  core distances, one masked step per expanded point), over the exact
+  inputs ``counterpart_cluster`` hands it on the recognised workload.
 
-Both comparisons also verify the results are identical, then write the
-measurements to ``BENCH_kernel.json`` at the repo root.  Run with
+Every comparison also verifies the results are identical, then writes
+the measurements to ``BENCH_kernel.json`` at the repo root.  Run with
 ``--fast`` for a small-workload smoke check (CI); timings in fast mode
 are not meaningful.
 
@@ -24,12 +28,18 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import heapq
+import os
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
 from repro import obs
+from repro.cluster.optics import optics
+from repro.core.config import MiningConfig
+from repro.core.extraction import counterpart_cluster
 from repro.core.popularity import compute_popularity
 from repro.core.recognition import CSDRecognizer
 from repro.data.trajectory import NO_SEMANTICS
@@ -91,6 +101,77 @@ def recognize_loop(recognizer, stay_points):
         tags.add(unit.dominant_tag())
         out.append(frozenset(tags))
     return out
+
+
+def optics_loop(xy, min_pts, max_eps):
+    """Seed implementation: two scalar range queries per expanded point
+    and a Python neighbour loop feeding a ``(reach, index)`` heap."""
+    pts = np.asarray(xy, dtype=float).reshape(-1, 2)
+    n = len(pts)
+    reach = np.full(n, np.inf)
+    core = np.full(n, np.inf)
+    ordering = np.empty(n, dtype=np.int64)
+    if n == 0:
+        return ordering, reach, core
+    diagonal = float(np.hypot(*(pts.max(axis=0) - pts.min(axis=0)))) + 1.0
+    eps = min(max_eps, diagonal)
+    index = GridIndex(pts, cell_size=max(min(eps, 250.0), 1e-9))
+    processed = np.zeros(n, dtype=bool)
+
+    def expand(i, seeds):
+        hits = index.query_radius(pts[i, 0], pts[i, 1], eps)
+        if len(hits) >= min_pts:
+            d = np.sqrt(((pts[hits] - pts[i]) ** 2).sum(axis=1))
+            d.sort()
+            core[i] = d[min_pts - 1]
+        if not np.isfinite(core[i]):
+            return
+        hits = index.query_radius(pts[i, 0], pts[i, 1], eps)
+        d = np.sqrt(((pts[hits] - pts[i]) ** 2).sum(axis=1))
+        for j, dist in zip(hits, d):
+            if processed[j]:
+                continue
+            new_reach = max(core[i], dist)
+            if new_reach < reach[j]:
+                reach[j] = new_reach
+                heapq.heappush(seeds, (new_reach, int(j)))
+
+    pos = 0
+    for start in range(n):
+        if processed[start]:
+            continue
+        seeds = [(np.inf, start)]
+        while seeds:
+            _r, j = heapq.heappop(seeds)
+            if processed[j]:
+                continue
+            processed[j] = True
+            ordering[pos] = j
+            pos += 1
+            expand(j, seeds)
+    return ordering, reach, core
+
+
+def optics_inputs(database, config):
+    """Every ``(xy, min_pts, max_eps)`` that Algorithm 4 passes to
+    ``optics`` while mining ``database``."""
+    optics_mod = sys.modules["repro.cluster.optics"]
+    inputs = []
+
+    def capture(xy, min_pts, max_eps=np.inf, index=None):
+        inputs.append((np.array(xy, dtype=float), min_pts, max_eps))
+        return optics(xy, min_pts, max_eps, index)
+
+    optics_mod.optics = capture
+    try:
+        counterpart_cluster(database, config)
+    finally:
+        optics_mod.optics = optics
+    return inputs
+
+
+def run_all(fn, inputs):
+    return [fn(xy, min_pts, max_eps) for xy, min_pts, max_eps in inputs]
 
 
 def timed(fn, *args, repeat=3, **kwargs):
@@ -176,6 +257,31 @@ def main(argv=None):
         f"identical={mp_flat == rec_batch})"
     )
 
+    # OPTICS over the inputs Algorithm 4 really produces on this
+    # workload (``repro run`` defaults; smaller support in fast mode so
+    # the small corpus still yields coarse patterns).
+    mining = MiningConfig(
+        support=4 if args.fast else 20, delta_t_s=3600.0, rho=0.001
+    )
+    inputs = optics_inputs(
+        recognizer.recognize(workload.trajectories), mining
+    )
+    opt_loop, t_opt_loop = timed(run_all, optics_loop, inputs, repeat=1)
+    opt_batch, t_opt_batch = timed(run_all, optics, inputs)
+    opt_equal = all(
+        np.array_equal(res.ordering, ordering)
+        and res.reachability.tobytes() == reach.tobytes()
+        and res.core_distance.tobytes() == core.tobytes()
+        for res, (ordering, reach, core) in zip(opt_batch, opt_loop)
+    )
+    opt_speedup = t_opt_loop / t_opt_batch
+    print(
+        f"optics:      loop {t_opt_loop:.3f}s  batched {t_opt_batch:.3f}s  "
+        f"speedup x{opt_speedup:.1f}  ({len(inputs)} calls, "
+        f"{sum(len(i[0]) for i in inputs)} points)  "
+        f"bit_identical={opt_equal}"
+    )
+
     # Observability: time the registry-disabled and registry-enabled
     # paths as one freshly-warmed back-to-back pair.  Comparing against
     # the *earlier* t_rec_batch measurement used to report a negative
@@ -225,6 +331,16 @@ def main(argv=None):
             "n_jobs2_s": round(t_rec_mp, 4),
             "identical": bool(rec_equal and mp_flat == rec_batch),
         },
+        "optics": {
+            "calls": len(inputs),
+            "points": int(sum(len(i[0]) for i in inputs)),
+            "max_points": int(max((len(i[0]) for i in inputs), default=0)),
+            "loop_s": round(t_opt_loop, 4),
+            "batched_s": round(t_opt_batch, 4),
+            "speedup": round(opt_speedup, 2),
+            "bit_identical": bool(opt_equal),
+        },
+        "n_cpus": os.cpu_count() or 1,
         "csd_build_s": round(t_build, 4),
         "observability": {
             "recognition_disabled_s": round(t_rec_disabled, 4),
@@ -241,7 +357,7 @@ def main(argv=None):
     if args.metrics_json is not None:
         write_report_json(args.metrics_json, metrics)
         print(f"wrote metrics snapshot {args.metrics_json}")
-    if not (pop_ok and rec_equal and rec_obs == rec_batch):
+    if not (pop_ok and rec_equal and rec_obs == rec_batch and opt_equal):
         raise SystemExit("batched results diverged from the loop reference")
     return report
 

@@ -18,7 +18,9 @@ import numpy as np
 from repro.core.config import MiningConfig
 from repro.core.extraction import (
     FineGrainedPattern,
+    TagTimes,
     _projection_for,
+    _tag_times,
     _temporal_occurrence,
     representative_stay_point,
 )
@@ -54,11 +56,13 @@ def refine_with_labeler(
         max_length=config.max_length,
     )
     out: List[FineGrainedPattern] = []
+    sequences: Dict[int, TagTimes] = {}
     for pattern in coarse:
         occurrences: List[Tuple[int, Tuple[int, ...]]] = []
         for seq_idx, _positions in pattern.occurrences:
+            tags, times = _tag_times(sequences, database, seq_idx)
             matched = _temporal_occurrence(
-                database[seq_idx], pattern.items, config.delta_t_s
+                tags, times, pattern.items, config.delta_t_s
             )
             if matched is not None:
                 occurrences.append((seq_idx, matched))

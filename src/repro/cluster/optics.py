@@ -17,16 +17,21 @@ two extraction strategies:
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from repro.geo.index import GridIndex
-from repro.types import BoolArray, Float64Array, IndexArray, MetersArray
+from repro.types import Float64Array, IndexArray, MetersArray
 
 _INF = np.inf
+
+#: Cap on centre-by-neighbour distance entries materialised per block of
+#: the core-distance pass.  Together with the O(n) expansion state it
+#: bounds the working memory of :func:`optics`, however many neighbour
+#: pairs the input has.
+_CHUNK_BUDGET = 16_384
 
 
 @dataclass
@@ -52,16 +57,28 @@ def optics(
     ``max_eps`` bounds the neighbourhood search; pass a generous default
     (e.g. 1 km) for speed — anything beyond it is treated as unreachable,
     exactly like the original algorithm.
+
+    The work is batched in two passes.  Core distances come first, for
+    blocks of centres at a time: one ``query_radius_many`` per block and
+    a row-wise ``np.partition``.  The ordering pass then expands one
+    point at a time with a single masked numpy step over all points.
+    The seed list is an array holding the reachability of every
+    unprocessed point reached so far (inf elsewhere), and its
+    ``argmin`` is the next point: the lowest index among equal minima,
+    which is the ``(reachability, index)`` order of the classic seed
+    heap.  Working memory is ``O(n + _CHUNK_BUDGET)``; no neighbour
+    pair outlives the step that computed it.  Neighbour tests and
+    distances use the index's own arithmetic, so the result is
+    bit-identical to the textbook per-point loop.
     """
     pts = np.asarray(xy, dtype=float).reshape(-1, 2)
     n = len(pts)
     if min_pts < 1:
         raise ValueError("min_pts must be at least 1")
     reach = np.full(n, _INF, dtype=np.float64)
-    core = np.full(n, _INF, dtype=np.float64)
     ordering = np.empty(n, dtype=np.int64)
     if n == 0:
-        return OpticsResult(ordering, reach, core)
+        return OpticsResult(ordering, reach, np.full(0, _INF, dtype=np.float64))
 
     # A radius beyond the data diagonal reaches everything anyway; the
     # clamp keeps the grid scan bounded when max_eps is infinite.
@@ -72,70 +89,73 @@ def optics(
         index = GridIndex(pts, cell_size=max(cell, 1e-9))
     if len(index) != n:
         raise ValueError("index must cover exactly the points being clustered")
+    core = _core_distances(pts, index, min_pts, search_eps)
 
-    processed = np.zeros(n, dtype=bool)
+    xs = np.ascontiguousarray(pts[:, 0], dtype=np.float64)
+    ys = np.ascontiguousarray(pts[:, 1], dtype=np.float64)
+    r2 = search_eps * search_eps
+    unprocessed = np.ones(n, dtype=bool)
+    seeds = np.full(n, _INF, dtype=np.float64)
     pos = 0
     for start in range(n):
-        if processed[start]:
+        if not unprocessed[start]:
             continue
         # Expand one density-connected component from `start`.
-        processed[start] = True
-        ordering[pos] = start
-        pos += 1
-        seeds: list[tuple[float, int]] = []
-        _update_core(pts, index, start, min_pts, search_eps, core)
-        if np.isfinite(core[start]):
-            _update_seeds(pts, index, start, search_eps, core, reach,
-                          processed, seeds)
-        while seeds:
-            _r, j = heapq.heappop(seeds)
-            if processed[j]:
-                continue
-            processed[j] = True
-            ordering[pos] = j
+        i = start
+        while True:
+            unprocessed[i] = False
+            seeds[i] = _INF
+            ordering[pos] = i
             pos += 1
-            _update_core(pts, index, j, min_pts, search_eps, core)
-            if np.isfinite(core[j]):
-                _update_seeds(pts, index, j, search_eps, core, reach,
-                              processed, seeds)
+            core_i = core[i]
+            if core_i < _INF:
+                # The index's predicate, point minus centre, over all points.
+                dx = xs - xs[i]
+                dy = ys - ys[i]
+                d2 = dx * dx + dy * dy
+                nb = np.flatnonzero((d2 <= r2) & unprocessed)
+                new_reach = np.maximum(np.sqrt(d2[nb]), core_i)
+                better = new_reach < reach[nb]
+                improved = nb[better]
+                reach[improved] = seeds[improved] = new_reach[better]
+            i = int(seeds.argmin())
+            if seeds[i] == _INF:
+                break
     return OpticsResult(ordering, reach, core)
 
 
-def _update_core(
-    pts: MetersArray,
-    index: GridIndex,
-    i: int,
-    min_pts: int,
-    eps: float,
-    core: Float64Array,
-) -> None:
-    neighbours = index.query_radius(pts[i, 0], pts[i, 1], eps)
-    if len(neighbours) < min_pts:
-        return
-    d = np.sqrt(((pts[neighbours] - pts[i]) ** 2).sum(axis=1))
-    d.sort()
-    core[i] = d[min_pts - 1]
+def _core_distances(
+    pts: MetersArray, index: GridIndex, min_pts: int, eps: float
+) -> Float64Array:
+    """Distance to each point's ``min_pts``-th neighbour within ``eps``
+    (itself included), inf where it has fewer.
 
-
-def _update_seeds(
-    pts: MetersArray,
-    index: GridIndex,
-    i: int,
-    eps: float,
-    core: Float64Array,
-    reach: Float64Array,
-    processed: BoolArray,
-    seeds: list,
-) -> None:
-    neighbours = index.query_radius(pts[i, 0], pts[i, 1], eps)
-    d = np.sqrt(((pts[neighbours] - pts[i]) ** 2).sum(axis=1))
-    for j, dist in zip(neighbours, d):
-        if processed[j]:
-            continue
-        new_reach = max(core[i], dist)
-        if new_reach < reach[j]:
-            reach[j] = new_reach
-            heapq.heappush(seeds, (new_reach, int(j)))
+    ``sqrt`` is monotone, so the ``k``-th smallest squared distance's
+    root is the ``k``-th smallest distance, bit for bit.
+    """
+    n = len(pts)
+    kth = min_pts - 1
+    core = np.full(n, _INF, dtype=np.float64)
+    block = max(1, _CHUNK_BUDGET // n)
+    for s in range(0, n, block):
+        centres = pts[s : s + block]
+        indices, offsets = index.query_radius_many(centres, eps)
+        counts = np.diff(offsets)
+        width = int(counts.max())
+        if width <= kth:
+            continue  # no centre in this block is core
+        m = len(centres)
+        rows = np.repeat(np.arange(m, dtype=np.int64), counts)
+        cols = np.arange(len(indices), dtype=np.int64) - np.repeat(
+            offsets[:-1], counts
+        )
+        dx = pts[indices, 0] - centres[rows, 0]
+        dy = pts[indices, 1] - centres[rows, 1]
+        padded = np.full((m, width), _INF, dtype=np.float64)
+        padded[rows, cols] = dx * dx + dy * dy
+        kth_d2 = np.partition(padded, kth, axis=1)[:, kth]
+        core[s : s + m] = np.where(counts > kth, np.sqrt(kth_d2), _INF)
+    return core
 
 
 def extract_dbscan_clustering(

@@ -102,10 +102,15 @@ def refine_patterns(
     if projection is None:
         projection = _projection_for(database)
     out: List[FineGrainedPattern] = []
+    # One tag/time view per supporting trajectory, shared by every
+    # coarse pattern it supports.
+    sequences: Dict[int, TagTimes] = {}
     with get_registry().timer("extraction.refinement"):
         for pattern in coarse:
             out.extend(
-                _refine_coarse_pattern(pattern, database, config, projection)
+                _refine_coarse_pattern(
+                    pattern, database, config, projection, sequences
+                )
             )
     return out
 
@@ -121,21 +126,42 @@ def _projection_for(
     return LocalProjection.for_points(lonlat)
 
 
+#: A trajectory's dominant-tag sequence and its stay-point timestamps.
+TagTimes = Tuple[List[Optional[str]], List[float]]
+
+
+def _tag_times(
+    sequences: Dict[int, TagTimes],
+    database: Sequence[SemanticTrajectory],
+    seq_idx: int,
+) -> TagTimes:
+    """``database[seq_idx]``'s tags and times, built once per trajectory
+    and kept in ``sequences``."""
+    seq = sequences.get(seq_idx)
+    if seq is None:
+        st = database[seq_idx]
+        seq = sequences[seq_idx] = (
+            as_tag_sequence(st),
+            [sp.t for sp in st.stay_points],
+        )
+    return seq
+
+
 def _temporal_occurrence(
-    st: SemanticTrajectory,
+    tags: Sequence[Optional[str]],
+    times: Sequence[float],
     items: Tuple[str, ...],
     delta_t_s: float,
 ) -> Optional[Tuple[int, ...]]:
-    """Leftmost occurrence of ``items`` whose consecutive matched stay
-    points are within ``delta_t_s`` of each other.
+    """Leftmost occurrence of ``items`` in ``tags`` whose consecutive
+    matched stay points are within ``delta_t_s`` of each other.
 
     PrefixSpan's leftmost match ignores time and can straddle the long
     midday gap of a linked day trajectory; Definition 7 condition ii
     applies the temporal constraint to the *matched subsequence*, so we
-    re-match here with the constraint enforced.
+    re-match here with the constraint enforced.  ``tags`` and ``times``
+    are one trajectory's :func:`_tag_times`.
     """
-    tags = as_tag_sequence(st)
-    times = [sp.t for sp in st.stay_points]
     n, m = len(tags), len(items)
 
     def search(j: int, start: int, chosen: List[int]) -> Optional[Tuple[int, ...]]:
@@ -159,6 +185,7 @@ def _refine_coarse_pattern(
     database: Sequence[SemanticTrajectory],
     config: MiningConfig,
     projection: LocalProjection,
+    sequences: Dict[int, TagTimes],
 ) -> List[FineGrainedPattern]:
     """The per-pattern body of Algorithm 4 (lines 4-20)."""
     m = len(coarse.items)
@@ -167,8 +194,9 @@ def _refine_coarse_pattern(
     # with no time-feasible occurrence drop out of the coarse pattern.
     occurrences = []
     for seq_idx, _positions in coarse.occurrences:
+        tags, stay_times = _tag_times(sequences, database, seq_idx)
         matched = _temporal_occurrence(
-            database[seq_idx], coarse.items, config.delta_t_s
+            tags, stay_times, coarse.items, config.delta_t_s
         )
         if matched is not None:
             occurrences.append((seq_idx, matched))
@@ -198,15 +226,16 @@ def _refine_coarse_pattern(
         times[:, k] = [sp.t for sp in column]
 
     # Line 6: OPTICS clusters of the k-th points, min size = sigma.
-    labels = [
-        optics_auto_clusters(
-            xy[k],
-            min_pts=config.support,
-            max_eps=config.optics_max_eps_m,
-            threshold_factor=config.optics_threshold_factor,
-        )
-        for k in range(m)
-    ]
+    with reg.timer("extraction.optics"):
+        labels = [
+            optics_auto_clusters(
+                xy[k],
+                min_pts=config.support,
+                max_eps=config.optics_max_eps_m,
+                threshold_factor=config.optics_threshold_factor,
+            )
+            for k in range(m)
+        ]
 
     alive = set(range(n_occ))
     out: List[FineGrainedPattern] = []

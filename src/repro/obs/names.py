@@ -137,6 +137,7 @@ TIMERS: FrozenSet[str] = frozenset(
         "constructor.merging",
         "extraction.prefixspan",
         "extraction.refinement",
+        "extraction.optics",
         "recognition.batch",
         "pipeline.runner.checkpoint",
         "serve.request",

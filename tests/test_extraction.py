@@ -9,7 +9,7 @@ from repro.core.extraction import (
     counterpart_cluster,
     representative_stay_point,
 )
-from repro.data.trajectory import SemanticTrajectory, StayPoint
+from repro.data.trajectory import SemanticTrajectory, StayPoint, as_tag_sequence
 
 DEG_PER_M = 1.0 / 111_195.0
 
@@ -94,31 +94,33 @@ class TestPlantedPattern:
 
 class TestTemporalOccurrence:
     def _st(self, entries):
-        return SemanticTrajectory(
+        """Tags and times of a trajectory with ``(tag, minute)`` stays."""
+        st = SemanticTrajectory(
             0,
             [
                 StayPoint(0.0, 0.0, t * 60.0, frozenset({tag}))
                 for tag, t in entries
             ],
         )
+        return as_tag_sequence(st), [sp.t for sp in st.stay_points]
 
     def test_leftmost_valid_occurrence(self):
         st = self._st([("A", 0), ("B", 600), ("A", 620), ("B", 640)])
         # A@0 -> B@600 violates 60 min; must pick A@620 -> B@640.
-        occ = _temporal_occurrence(st, ("A", "B"), 3600.0)
+        occ = _temporal_occurrence(*st, ("A", "B"), 3600.0)
         assert occ == (2, 3)
 
     def test_no_valid_occurrence(self):
         st = self._st([("A", 0), ("B", 600)])
-        assert _temporal_occurrence(st, ("A", "B"), 3600.0) is None
+        assert _temporal_occurrence(*st, ("A", "B"), 3600.0) is None
 
     def test_simple_match(self):
         st = self._st([("A", 0), ("C", 10), ("B", 20)])
-        assert _temporal_occurrence(st, ("A", "B"), 3600.0) == (0, 2)
+        assert _temporal_occurrence(*st, ("A", "B"), 3600.0) == (0, 2)
 
     def test_missing_item(self):
         st = self._st([("A", 0), ("C", 10)])
-        assert _temporal_occurrence(st, ("A", "B"), 3600.0) is None
+        assert _temporal_occurrence(*st, ("A", "B"), 3600.0) is None
 
 
 class TestRepresentative:

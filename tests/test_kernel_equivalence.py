@@ -3,17 +3,24 @@
 The CSR rewrite of the spatial kernel promises *bit-identical* results,
 not merely close ones: the batched queries return the same sorted hit
 sets, and the ``np.bincount`` accumulations add contributions in the
-same left-to-right order the seed loops did.  These tests keep the seed
-per-point implementations alive as reference oracles and compare
-exactly — no tolerances.
+same left-to-right order the seed loops did.  The batched OPTICS makes
+the same promise for its ordering, reachability and core distances.
+These tests keep the seed per-point implementations alive as reference
+oracles and compare exactly — no tolerances.
 """
+
+import heapq
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.core.recognition as recognition_mod
-from repro.core.config import CSDConfig
+from repro.cluster.optics import OpticsResult, optics
+from repro.core.config import CSDConfig, MiningConfig
 from repro.core.constructor import build_csd
+from repro.core.extraction import counterpart_cluster
 from repro.core.csd import UNASSIGNED
 from repro.core.popularity import compute_popularity
 from repro.core.recognition import CSDRecognizer
@@ -21,6 +28,7 @@ from repro.data.poi import POI
 from repro.data.trajectory import NO_SEMANTICS, SemanticTrajectory, StayPoint
 from repro.geo.distance import gaussian_coefficients
 from repro.geo.index import GridIndex
+from tests.test_extraction import planted_database
 
 MAJORS = [
     "Restaurant",
@@ -216,3 +224,200 @@ class TestRecognitionEquivalence:
         recognizer = CSDRecognizer(random_csd, 100.0)
         with pytest.raises(ValueError):
             recognizer.recognize([], n_jobs=0)
+
+
+def optics_loop_oracle(xy, min_pts, max_eps=np.inf, index=None):
+    """The seed per-point OPTICS loop (pre-batching ``optics``).
+
+    Every expanded point issues two scalar range queries, one for its
+    core distance and one for its seed update, and the seed update is
+    a Python loop over the neighbours feeding a ``(reach, index)`` heap.
+    """
+    pts = np.asarray(xy, dtype=float).reshape(-1, 2)
+    n = len(pts)
+    if min_pts < 1:
+        raise ValueError("min_pts must be at least 1")
+    reach = np.full(n, np.inf, dtype=np.float64)
+    core = np.full(n, np.inf, dtype=np.float64)
+    ordering = np.empty(n, dtype=np.int64)
+    if n == 0:
+        return OpticsResult(ordering, reach, core)
+    diagonal = float(np.hypot(*(pts.max(axis=0) - pts.min(axis=0)))) + 1.0
+    eps = min(max_eps, diagonal)
+    if index is None:
+        index = GridIndex(pts, cell_size=max(min(eps, 250.0), 1e-9))
+    if len(index) != n:
+        raise ValueError("index must cover exactly the points being clustered")
+
+    def update_core(i):
+        neighbours = index.query_radius(pts[i, 0], pts[i, 1], eps)
+        if len(neighbours) < min_pts:
+            return
+        d = np.sqrt(((pts[neighbours] - pts[i]) ** 2).sum(axis=1))
+        d.sort()
+        core[i] = d[min_pts - 1]
+
+    def update_seeds(i, seeds):
+        neighbours = index.query_radius(pts[i, 0], pts[i, 1], eps)
+        d = np.sqrt(((pts[neighbours] - pts[i]) ** 2).sum(axis=1))
+        for j, dist in zip(neighbours, d):
+            if processed[j]:
+                continue
+            new_reach = max(core[i], dist)
+            if new_reach < reach[j]:
+                reach[j] = new_reach
+                heapq.heappush(seeds, (new_reach, int(j)))
+
+    processed = np.zeros(n, dtype=bool)
+    pos = 0
+    for start in range(n):
+        if processed[start]:
+            continue
+        processed[start] = True
+        ordering[pos] = start
+        pos += 1
+        seeds = []
+        update_core(start)
+        if np.isfinite(core[start]):
+            update_seeds(start, seeds)
+        while seeds:
+            _r, j = heapq.heappop(seeds)
+            if processed[j]:
+                continue
+            processed[j] = True
+            ordering[pos] = j
+            pos += 1
+            update_core(j)
+            if np.isfinite(core[j]):
+                update_seeds(j, seeds)
+    return OpticsResult(ordering, reach, core)
+
+
+def assert_optics_identical(got, want):
+    assert got.ordering.dtype == want.ordering.dtype
+    assert np.array_equal(got.ordering, want.ordering)
+    assert got.reachability.tobytes() == want.reachability.tobytes()
+    assert got.core_distance.tobytes() == want.core_distance.tobytes()
+
+
+def _blobs(seed, n_per=40, spread=15.0):
+    rng = np.random.default_rng(seed)
+    centres = np.array([[0.0, 0.0], [300.0, 40.0], [90.0, 700.0]])
+    return np.vstack([c + rng.normal(0.0, spread, (n_per, 2)) for c in centres])
+
+
+class TestOpticsEquivalence:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("min_pts", [2, 5, 20])
+    def test_blobs_match_oracle(self, seed, min_pts):
+        pts = _blobs(seed)
+        assert_optics_identical(
+            optics(pts, min_pts, max_eps=1000.0),
+            optics_loop_oracle(pts, min_pts, max_eps=1000.0),
+        )
+
+    def test_duplicates_and_reachability_ties(self):
+        """An integer lattice with every site doubled: many points share
+        coordinates and equal distances, so the seed list holds exact
+        reachability ties that only the index order can break."""
+        g = np.arange(6, dtype=float) * 10.0
+        lattice = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+        pts = np.vstack([lattice, lattice[::-1], [[25.0, 25.0]] * 4])
+        for min_pts in (1, 3, 8):
+            got = optics(pts, min_pts, max_eps=40.0)
+            want = optics_loop_oracle(pts, min_pts, max_eps=40.0)
+            assert_optics_identical(got, want)
+        finite = want.reachability[np.isfinite(want.reachability)]
+        assert len(np.unique(finite)) < len(finite)  # ties really occur
+
+    def test_min_pts_one(self):
+        pts = _blobs(3, n_per=25)
+        got = optics(pts, 1, max_eps=200.0)
+        assert_optics_identical(got, optics_loop_oracle(pts, 1, max_eps=200.0))
+        assert np.all(got.core_distance == 0.0)
+
+    def test_min_pts_above_n(self):
+        pts = _blobs(4, n_per=5)
+        got = optics(pts, len(pts) + 1, max_eps=1000.0)
+        assert_optics_identical(
+            got, optics_loop_oracle(pts, len(pts) + 1, max_eps=1000.0)
+        )
+        assert np.all(np.isinf(got.core_distance))
+        assert np.array_equal(got.ordering, np.arange(len(pts)))
+
+    def test_finite_max_eps_leaves_noise(self):
+        rng = np.random.default_rng(5)
+        strays = rng.uniform(2_000.0, 9_000.0, (15, 2))
+        pts = np.vstack([_blobs(5), strays])
+        got = optics(pts, 6, max_eps=60.0)
+        assert_optics_identical(got, optics_loop_oracle(pts, 6, max_eps=60.0))
+        assert np.isinf(got.reachability[-len(strays):]).all()
+        assert np.isinf(got.core_distance[-len(strays):]).all()
+
+    @pytest.mark.parametrize("cell", [4.0, 50.0, 5_000.0])
+    def test_caller_supplied_index(self, cell):
+        """Small cells send the core pass through the index's window
+        kernel, huge ones through its brute kernel."""
+        pts = _blobs(6)
+        index = GridIndex(pts, cell_size=cell)
+        got = optics(pts, 5, max_eps=80.0, index=index)
+        assert_optics_identical(
+            got, optics_loop_oracle(pts, 5, max_eps=80.0, index=index)
+        )
+        assert_optics_identical(got, optics(pts, 5, max_eps=80.0))
+
+    def test_index_size_mismatch_rejected(self):
+        pts = _blobs(6)
+        with pytest.raises(ValueError):
+            optics(pts, 5, index=GridIndex(pts[:-1], cell_size=50.0))
+
+    def test_empty_and_single_point(self):
+        assert_optics_identical(
+            optics(np.empty((0, 2)), 3), optics_loop_oracle(np.empty((0, 2)), 3)
+        )
+        one = np.array([[12.5, -3.0]])
+        for min_pts in (1, 2):
+            assert_optics_identical(
+                optics(one, min_pts), optics_loop_oracle(one, min_pts)
+            )
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(0, 70),
+        min_pts=st.integers(1, 9),
+        max_eps=st.sampled_from([3.0, 12.0, 40.0, np.inf]),
+        grid=st.sampled_from([1.0, 0.5, 0.0]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_property_random_clouds(self, n, min_pts, max_eps, grid, seed):
+        """Random clouds, optionally snapped to a grid so coordinates and
+        distances repeat."""
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(0.0, 15.0, (n, 2))
+        if grid:
+            pts = np.round(pts / grid) * grid
+        assert_optics_identical(
+            optics(pts, min_pts, max_eps=max_eps),
+            optics_loop_oracle(pts, min_pts, max_eps=max_eps),
+        )
+
+    def test_counterpart_cluster_end_to_end(self, monkeypatch):
+        """Algorithm 4 mines the same patterns with the seed loop patched
+        in.  ``repro.cluster`` re-exports ``optics`` under the module's
+        own name, so the module is reached through ``sys.modules``."""
+        db = planted_database(60, jitter_m=25.0) + planted_database(
+            40, jitter_m=60.0, seed=1, tags=("Office", "Gym")
+        )
+        config = MiningConfig(support=10, rho=0.0005, delta_t_s=3600.0)
+        got = counterpart_cluster(db, config)
+        calls = []
+
+        def oracle(*args, **kwargs):
+            calls.append(len(args[0]))
+            return optics_loop_oracle(*args, **kwargs)
+
+        optics_mod = sys.modules["repro.cluster.optics"]
+        monkeypatch.setattr(optics_mod, "optics", oracle)
+        want = counterpart_cluster(db, config)
+        assert calls  # the oracle really ran
+        assert got and got == want

@@ -99,3 +99,28 @@ class TestValleyExtraction:
         pts = rng.normal(0, 20, (100, 2))
         labels = optics_auto_clusters(pts, min_pts=10, max_eps=1000)
         assert len(set(labels) - {-1}) == 1
+
+
+class TestMemory:
+    def test_peak_memory_stays_within_seed_loop_bound(self):
+        """1,000 mutually reachable points have 1M neighbour pairs, and
+        any cache of them costs 8 bytes or more per pair.  The batched
+        pass must stay within 3x the seed loop's tracemalloc peak on the
+        same input.  (At 2,000 points the traced seed loop alone takes
+        half a minute.)"""
+        import tracemalloc
+
+        from tests.test_kernel_equivalence import optics_loop_oracle
+
+        pts = np.random.default_rng(11).normal(0.0, 20.0, (1_000, 2))
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn(pts, 20, max_eps=1_000.0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        seed_peak = peak(optics_loop_oracle)
+        assert peak(optics) <= 3 * seed_peak
